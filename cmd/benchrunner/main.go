@@ -4,10 +4,8 @@
 // BENCH.md at the repository root for the per-experiment index and how to
 // read the rendered tables.
 //
-// The -experiment presets are a fixed registry; for scenarios declared as
-// data, benchrunner is also a thin loader over the workload harness: -spec
-// runs a specs/*.yaml workload spec and writes its BENCH_<name>.json report
-// (equivalent to workloadrunner without the crash modes).
+// The -experiment presets are a fixed registry; scenarios declared as data
+// (specs/*.yaml) run through cmd/workloadrunner instead.
 //
 // Usage:
 //
@@ -15,7 +13,6 @@
 //	go run ./cmd/benchrunner -experiment fig5.8 -dataset SCI_10K -scale 1
 //	go run ./cmd/benchrunner -experiment concurrent -workers 4
 //	go run ./cmd/benchrunner -experiment recset -out BENCH_recset.json
-//	go run ./cmd/benchrunner -spec specs/branch_heavy.yaml
 package main
 
 import (
@@ -27,20 +24,18 @@ import (
 	"time"
 
 	"repro/internal/benchmark"
-	"repro/internal/workload"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all", "experiment id (see -experiment help, or BENCH.md): "+strings.Join(experimentIDs(), ", ")+", all")
-	spec := flag.String("spec", "", "run a declarative workload spec file instead of a preset experiment")
 	dataset := flag.String("dataset", "SCI_10K", "dataset preset for single-dataset experiments")
 	scale := flag.Int("scale", 1, "scale multiplier applied to dataset presets")
 	workers := flag.Int("workers", 0, "engine worker-pool size for parallel operations (0 = single-threaded operations)")
 	latency := flag.Duration("latency", 0, "simulated client-server round trip for the concurrent experiment (0 = default 5ms, negative = none)")
-	out := flag.String("out", "", "output path for a JSON report; honored for -spec and for explicitly selected report-producing experiments (never under -experiment all, where two reports would overwrite each other)")
+	out := flag.String("out", "", "output path for a JSON report; honored for explicitly selected report-producing experiments (never under -experiment all, where two reports would overwrite each other)")
 	flag.Parse()
 
-	if err := run(*experiment, *spec, *dataset, *scale, *workers, *latency, *out); err != nil {
+	if err := run(*experiment, *dataset, *scale, *workers, *latency, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
@@ -190,10 +185,7 @@ func (e *experiment) matches(selector string) bool {
 	return false
 }
 
-func run(selector, specPath, dataset string, scale, workers int, latency time.Duration, out string) error {
-	if specPath != "" {
-		return runSpec(specPath, out)
-	}
+func run(selector, dataset string, scale, workers int, latency time.Duration, out string) error {
 	p := expParams{dataset: dataset, scale: scale, workers: workers, latency: latency}
 	all := selector == "all"
 	ran := false
@@ -226,31 +218,5 @@ func run(selector, specPath, dataset string, scale, workers int, latency time.Du
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (known: %s)", selector, strings.Join(experimentIDs(), ", "))
 	}
-	return nil
-}
-
-// runSpec is the thin-loader path: parse the declarative spec, run it
-// through the workload harness, and write the BENCH_<name>.json report.
-func runSpec(specPath, out string) error {
-	spec, err := workload.ParseSpecFile(specPath)
-	if err != nil {
-		return err
-	}
-	report, err := workload.Run(spec)
-	if err != nil {
-		return err
-	}
-	doc, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	if out == "" {
-		out = "BENCH_" + spec.Name + ".json"
-	}
-	if err := os.WriteFile(out, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d ops, %.0f ops/s, %d errors → %s\n",
-		spec.Name, report.TotalOps, report.ThroughputPerSec, report.TotalErrors, out)
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 // non-zero on it), not a silent no-op run — with or without -out set.
 func TestUnknownExperiment(t *testing.T) {
 	for _, out := range []string{"", filepath.Join(t.TempDir(), "never.json")} {
-		err := run("no-such-experiment", "", "SCI_1K", 1, 0, -1, out)
+		err := run("no-such-experiment", "SCI_1K", 1, 0, -1, out)
 		if err == nil {
 			t.Fatalf("unknown experiment id ran successfully (out=%q)", out)
 		}
@@ -48,7 +48,7 @@ func TestRegistryShape(t *testing.T) {
 // TestDispatchSingleExperiment: a known id at small scale runs end to end,
 // and alias ids select the same entry.
 func TestDispatchSingleExperiment(t *testing.T) {
-	if err := run("fig5.7", "", "SCI_1K", 1, 0, -1, ""); err != nil {
+	if err := run("fig5.7", "SCI_1K", 1, 0, -1, ""); err != nil {
 		t.Fatalf("fig5.7: %v", err)
 	}
 }
@@ -66,56 +66,6 @@ func TestDispatchAlias(t *testing.T) {
 	}
 }
 
-// TestSpecThinLoader: -spec routes through the workload harness and writes
-// the BENCH_<name>.json report.
-func TestSpecThinLoader(t *testing.T) {
-	dir := t.TempDir()
-	specPath := filepath.Join(dir, "loader.yaml")
-	spec := `name: loader
-dataset: SCI_1K
-clients: 2
-ops: 20
-mix:
-  commit: 10
-  checkout: 40
-  select: 50
-  merge: 0
-`
-	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "BENCH_loader.json")
-	if err := run("ignored", specPath, "SCI_10K", 1, 0, -1, out); err != nil {
-		t.Fatalf("spec run: %v", err)
-	}
-	doc, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Spec     struct{ Name string }
-		TotalOps int64 `json:"total_ops"`
-	}
-	if err := json.Unmarshal(doc, &report); err != nil {
-		t.Fatalf("report is not JSON: %v", err)
-	}
-	if report.Spec.Name != "loader" || report.TotalOps != 20 {
-		t.Errorf("report: %s", doc)
-	}
-}
-
-// TestSpecBadFileFails: a broken spec is a hard error, not a fallback to the
-// preset experiments.
-func TestSpecBadFileFails(t *testing.T) {
-	specPath := filepath.Join(t.TempDir(), "broken.yaml")
-	if err := os.WriteFile(specPath, []byte("name: broken\nbogus: 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("all", specPath, "SCI_10K", 1, 0, -1, ""); err == nil {
-		t.Fatal("broken spec ran successfully")
-	}
-}
-
 // TestOutWritesJSON: -out with an explicitly selected report-producing
 // experiment writes a parseable JSON document at the given path.
 func TestOutWritesJSON(t *testing.T) {
@@ -123,7 +73,7 @@ func TestOutWritesJSON(t *testing.T) {
 		t.Skip("runs the full group-commit sweep")
 	}
 	out := filepath.Join(t.TempDir(), "gc.json")
-	if err := run("groupcommit", "", "SCI_1K", 1, 0, -1, out); err != nil {
+	if err := run("groupcommit", "SCI_1K", 1, 0, -1, out); err != nil {
 		t.Fatalf("groupcommit: %v", err)
 	}
 	doc, err := os.ReadFile(out)

@@ -236,18 +236,22 @@ func TestFsckCommand(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
 	csv := writeCSV(t, dir, "p.csv", proteinCSV)
+	saved := filepath.Join(dir, "saved")
 	code, _, errw := runSession(t, []string{"-data", data},
-		"init proteins "+csv+" pk=pid\ncheckpoint\ncheckout proteins -v 1 -t work\ncommit proteins -t work -m tweak\n")
+		"init proteins "+csv+" pk=pid\ncheckpoint\ncheckout proteins -v 1 -t work\ncommit proteins -t work -m tweak\nsave "+saved+"\n")
 	if code != 0 {
 		t.Fatalf("seed session exit %d: %s", code, errw)
 	}
 
-	code, out, errw := runSession(t, []string{"fsck", data}, "")
-	if code != 0 {
-		t.Fatalf("fsck of healthy dir exit %d: %s%s", code, out, errw)
-	}
-	if !strings.Contains(out, "clean") {
-		t.Fatalf("fsck output missing 'clean': %s", out)
+	// Both the live directory and a `save` export are healthy data dirs.
+	for _, d := range []string{data, saved} {
+		code, out, errw := runSession(t, []string{"fsck", d}, "")
+		if code != 0 {
+			t.Fatalf("fsck of healthy dir %s exit %d: %s%s", d, code, out, errw)
+		}
+		if !strings.Contains(out, "clean") {
+			t.Fatalf("fsck of %s output missing 'clean': %s", d, out)
+		}
 	}
 
 	// Tear the active WAL tail: fsck must flag it, -repair must fix it.
@@ -273,7 +277,7 @@ func TestFsckCommand(t *testing.T) {
 	}
 	f.Close()
 
-	code, out, _ = runSession(t, []string{"fsck", data}, "")
+	code, out, _ := runSession(t, []string{"fsck", data}, "")
 	if code != 1 {
 		t.Fatalf("fsck of torn dir exit %d, want 1: %s", code, out)
 	}

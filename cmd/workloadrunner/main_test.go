@@ -78,7 +78,7 @@ mix:
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatalf("report is not JSON: %v", err)
 	}
-	if report.Spec.Name != "tiny" || report.TotalOps == 0 {
+	if report.Spec.Name != "tiny" || report.TotalOps != 20 {
 		t.Errorf("report: %s", data)
 	}
 }

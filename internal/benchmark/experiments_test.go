@@ -172,9 +172,10 @@ func TestRunDurable(t *testing.T) {
 // TestRunDurableIncremental is the incremental-checkpoint acceptance gate:
 // on a large seeded CVD, a checkpoint after a small-delta burst must reuse
 // almost everything (bytes written <= 15% of the full checkpoint and >= 4x
-// faster), and the sampled lane codecs must shrink the flat snapshot >= 2x
-// vs identity encodings. SCI_50K is deliberate — on smaller presets the
-// always-re-encoded tail bands dominate and the margins vanish.
+// faster), and the sampled lane codecs must shrink the snapshot's chunk
+// payload bytes >= 2x vs identity encodings. SCI_50K is deliberate — on
+// smaller presets the always-re-encoded tail bands dominate and the margins
+// vanish.
 func TestRunDurableIncremental(t *testing.T) {
 	report, table, err := RunDurableIncremental("SCI_50K", 1)
 	if err != nil {

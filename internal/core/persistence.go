@@ -23,11 +23,7 @@ import (
 // appended to the WAL and fsynced before it returns.
 func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 	e := Open(name, opts...)
-	fsys := e.fsys
-	if fsys == nil {
-		fsys = vfs.OS()
-	}
-	store, res, err := durable.OpenFS(dir, fsys)
+	store, res, err := durable.OpenFS(dir, e.storageFS())
 	if err != nil {
 		return nil, err
 	}
@@ -240,18 +236,27 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 	return snap, locked, release, nil
 }
 
-// Save exports a one-shot snapshot of the whole engine into dir (created if
-// needed): every CVD's versions, partition maps, and metadata, serialized
-// from the live columnar storage. The directory can later be opened with
-// OpenDurable. Saving into a live data directory (one with a WAL) is
-// refused — use Checkpoint for that.
+// Save exports the whole engine into dir (created if needed) as a standalone
+// data directory: every CVD's versions, partition maps, and metadata, written
+// from the live columnar storage as one checkpoint (chunk pack + manifest),
+// exactly what OpenDurable + Checkpoint + Close would leave. The directory
+// can later be opened with OpenDurable. A directory that already holds an
+// export or live state is refused — use Checkpoint for a live one.
 func (e *Engine) Save(dir string) error {
 	snap, _, release, err := e.buildSnapshot(false, false)
 	if err != nil {
 		return err
 	}
 	defer release()
-	return durable.SaveSnapshot(dir, snap)
+	return durable.Export(dir, e.storageFS(), snap, e.workers)
+}
+
+// storageFS is the filesystem durable I/O runs on (see WithFS).
+func (e *Engine) storageFS() vfs.FS {
+	if e.fsys == nil {
+		return vfs.OS()
+	}
+	return e.fsys
 }
 
 // RetainedEpochs returns the checkpoint epochs the bound data directory still
@@ -265,8 +270,9 @@ func (e *Engine) RetainedEpochs() ([]uint64, error) {
 }
 
 // ExportEpoch exports the engine state captured by a retained checkpoint
-// epoch of the bound data directory as a flat snapshot in dir (which must not
-// be a live data directory). The export can later be loaded with OpenDurable.
+// epoch of the bound data directory into dir, as Save does (dir must not
+// already hold an export or live state). The export can later be loaded
+// with OpenDurable.
 func (e *Engine) ExportEpoch(epoch uint64, dir string) error {
 	store := e.getStore()
 	if store == nil {
@@ -276,7 +282,7 @@ func (e *Engine) ExportEpoch(epoch uint64, dir string) error {
 	if err != nil {
 		return err
 	}
-	return durable.SaveSnapshot(dir, snap)
+	return durable.Export(dir, e.storageFS(), snap, e.workers)
 }
 
 // Checkpoint folds the committed state into a fresh checkpoint manifest of

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,12 +150,20 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			if err := e.Save(dir); err != nil {
 				t.Fatalf("save: %v", err)
 			}
+			// An export is never overwritten: saving over it again is refused.
+			if err := e.Save(dir); err == nil || !strings.Contains(err.Error(), "already holds") {
+				t.Fatalf("second save into an export: err = %v, want a refusal", err)
+			}
 			restored, err := OpenDurable("prop", dir)
 			if err != nil {
 				t.Fatalf("open durable: %v", err)
 			}
 			defer restored.Close()
 			enginesEquivalent(t, fmt.Sprintf("trial%d", trial), e, restored)
+			// Nor is a live data directory (held open by restored).
+			if err := e.Save(dir); err == nil || !strings.Contains(err.Error(), "already holds") {
+				t.Fatalf("save into a live directory: err = %v, want a refusal", err)
+			}
 
 			// The restored engine must remain fully writable: commit on top of
 			// a restored version and check out the result.
@@ -197,11 +206,14 @@ func TestSnapshotRoundTripPartitioned(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := OpenDurable("parts", dir)
+	restored, err := OpenDurable("renamed", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
+	if got := restored.Database().Name(); got != "parts" {
+		t.Fatalf("restored database name %q, want the saved engine's %q", got, "parts")
+	}
 	rc, _ := restored.CVD("d")
 	rm, err := rc.Rlist()
 	if err != nil {
@@ -216,6 +228,38 @@ func TestSnapshotRoundTripPartitioned(t *testing.T) {
 		}
 	}
 	enginesEquivalent(t, "parted", e, restored)
+}
+
+// TestLegacyLayoutRefused: directories in layouts this build no longer
+// reads — a retired single-file export, a format v1 WAL — fail both
+// OpenDurable and the fsck scrub loudly, with how to convert them, instead
+// of opening as an empty engine; and the refused directory is left as it was.
+func TestLegacyLayoutRefused(t *testing.T) {
+	for _, tc := range []struct{ file, want string }{
+		{durable.SnapshotFile, "echo checkpoint | orpheus -data"},
+		{durable.WALFile, "format v1 WAL"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte("legacy bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDurable("legacy", dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: OpenDurable err = %v, want %q", tc.file, err, tc.want)
+		}
+		if _, err := durable.Scrub(dir, durable.ScrubOptions{Repair: true}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Scrub err = %v, want %q", tc.file, err, tc.want)
+		}
+		if err := Open("e").Save(dir); err == nil {
+			t.Fatalf("%s: Save over a legacy directory succeeded", tc.file)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("%s: refused directory was modified: %d entries", tc.file, len(entries))
+		}
+	}
 }
 
 // TestWALCrashRecovery is the crash-recovery property test of the acceptance

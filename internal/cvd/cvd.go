@@ -723,6 +723,10 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	// Drop may have run since Checkout's check: its tables are gone.
+	if c.dropped {
+		return nil, fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
+	}
 	for _, v := range versions {
 		if c.graph.Node(v) == nil {
 			return nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)

@@ -628,8 +628,8 @@ func decodeRecsetRun(dst []cvd.VersionRecordSet, payload []byte) ([]cvd.VersionR
 	return dst, nil
 }
 
-// cvdLayout is the per-CVD section geometry in manifests and the snapshot
-// stream: how many records and sets the chunks must reassemble.
+// cvdLayout is the per-CVD section geometry in manifests: how many records
+// and sets the chunks must reassemble.
 type cvdLayout struct {
 	name    string
 	records int // catalog record count

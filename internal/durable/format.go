@@ -13,42 +13,64 @@
 // restore; a refcounting GC drops unreferenced chunks.
 //
 // See FORMAT.md in this directory for the on-disk layout. The format is
-// self-describing enough to fail loudly — every section and WAL record is
-// CRC32-framed and the files carry magic plus a format version — but it is
-// not portable across incompatible format versions: bump formatVersion on
-// layout changes and keep readers refusing unknown versions.
+// self-describing enough to fail loudly — every chunk, manifest, and WAL
+// record is CRC32-framed and the files carry magic plus a format version —
+// but it is not portable across incompatible format versions: bump
+// formatVersion on layout changes and keep readers refusing unknown
+// versions.
 package durable
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"path/filepath"
 
 	"repro/internal/relstore"
+	"repro/internal/vfs"
 )
 
 const (
-	// formatVersion is bumped on any incompatible change to the snapshot,
-	// chunk, manifest, or WAL payload layout. Readers refuse other versions.
+	// formatVersion is bumped on any incompatible change to the chunk,
+	// manifest, or WAL payload layout. Readers refuse other versions.
 	// Version 2 introduced content-addressed chunked checkpoints (manifest +
 	// chunk pack), lane codecs, and epoch-named WAL segments.
 	formatVersion = 2
 
-	snapshotMagic = "ORPHSNP1"
 	walMagic      = "ORPHWAL1"
 	packMagic     = "ORPHPAK1"
 	manifestMagic = "ORPHMAN1"
 
-	// SnapshotFile is the single-file snapshot name: the Save export format
-	// (and the only file of a Save-created directory). Live data directories
-	// instead persist through manifest-<epoch>.orph + chunks.orph.
+	// SnapshotFile is the retired single-file export that older builds'
+	// Save wrote; WALFile is the format v1 WAL name (v2 names WAL segments
+	// by epoch, see WALSegmentFileName). Both names are only detected, by
+	// checkLegacyLayout, to refuse such directories loudly.
 	SnapshotFile = "snapshot.orph"
-
-	// WALFile is the format v1 WAL name. v2 names WAL segments by epoch
-	// (WALSegmentFileName); the old name is only detected to refuse v1
-	// directories loudly.
-	WALFile = "wal.orph"
+	WALFile      = "wal.orph"
 )
+
+// checkLegacyLayout refuses a directory written in a layout this build no
+// longer reads, instead of opening it as empty: a format v1 WAL, or a
+// retired single-file export with no checkpoint manifest beside it. (Once a
+// manifest exists, an older build's checkpoint has superseded the export
+// and a leftover snapshot.orph is ignored.)
+func checkLegacyLayout(fsys vfs.FS, dir string) error {
+	if _, err := fsys.Stat(filepath.Join(dir, WALFile)); err == nil {
+		return fmt.Errorf("durable: %s holds a format v1 WAL (%s); this build reads format v2 data directories only", dir, WALFile)
+	}
+	if _, err := fsys.Stat(filepath.Join(dir, SnapshotFile)); err != nil {
+		return nil
+	}
+	epochs, err := listManifestEpochs(fsys, dir)
+	if err != nil {
+		return err
+	}
+	if len(epochs) == 0 {
+		return fmt.Errorf("durable: %s holds a legacy single-file export (%s) that this build no longer reads; "+
+			"convert it in place with an older build whose Save still writes %s (`echo checkpoint | orpheus -data %s`), then reopen it here", dir, SnapshotFile, SnapshotFile, dir)
+	}
+	return nil
+}
 
 // WALSegmentFileName returns the WAL segment file name for an epoch; the
 // fixed-width hex key makes lexical order equal epoch order.
@@ -69,13 +91,13 @@ func parseWALSegmentName(name string) (uint64, bool) {
 // enc is a little-endian append-only encoder over a byte slice.
 type enc struct{ b []byte }
 
-func (e *enc) u8(v uint8)      { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)    { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)    { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)    { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *enc) u8(v uint8)       { e.b = append(e.b, v) }
+func (e *enc) u16(v uint16)     { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
+func (e *enc) u32(v uint32)     { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) f64(v float64)   { e.u64(math.Float64bits(v)) }
+func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
 func (e *enc) boolean(v bool) {
 	if v {
 		e.u8(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,15 +189,17 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 }
 
-// FuzzScrub feeds hostile bytes as an entire data directory — pack, manifest,
-// WAL segment, and flat snapshot all at once — and demands Scrub classify the
+// FuzzScrub feeds hostile bytes as an entire data directory — pack,
+// manifest, and WAL segment all at once — and demands Scrub classify the
 // wreckage (or error) without ever panicking, with and without repair. The
 // repair pass additionally exercises truncation, quarantine, and the
-// verification reopen against arbitrary garbage.
+// verification reopen against arbitrary garbage. The fourth input is a
+// retired single-file export alone in its directory: whatever its bytes,
+// Scrub must refuse it as a legacy layout rather than scrub it as empty.
 func FuzzScrub(f *testing.F) {
 	f.Add([]byte(packMagic+"\x02\x00\x00\x00"), []byte(manifestMagic), []byte(walMagic), []byte{})
 	f.Add([]byte("ORPHPAK1\x02\x00\x00\x00garbage frame bytes"), []byte("not a manifest"),
-		[]byte("ORPHWAL1\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff"), []byte(snapshotMagic))
+		[]byte("ORPHWAL1\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff"), []byte("ORPHSNP1"))
 	f.Add([]byte{}, []byte{}, []byte{}, []byte{0x00})
 	f.Fuzz(func(t *testing.T, pack, man, wal, snap []byte) {
 		dir := t.TempDir()
@@ -204,7 +207,6 @@ func FuzzScrub(f *testing.F) {
 			PackFile:              pack,
 			ManifestFileName(1):   man,
 			WALSegmentFileName(1): wal,
-			SnapshotFile:          snap,
 		} {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
@@ -213,6 +215,16 @@ func FuzzScrub(f *testing.F) {
 		for _, repair := range []bool{false, true} {
 			// Corruption must surface as a report or an error — never a panic.
 			_, _ = Scrub(dir, ScrubOptions{Repair: repair})
+		}
+
+		legacy := t.TempDir()
+		if err := os.WriteFile(filepath.Join(legacy, SnapshotFile), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, repair := range []bool{false, true} {
+			if _, err := Scrub(legacy, ScrubOptions{Repair: repair}); err == nil || !strings.Contains(err.Error(), "legacy single-file export") {
+				t.Fatalf("legacy export dir (repair=%v): err = %v, want the legacy refusal", repair, err)
+			}
 		}
 	})
 }

@@ -352,63 +352,48 @@ func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) 
 	return snap, nil
 }
 
-// manifestForSnapshot is used by tests and the flat-file writer to derive
-// geometry without going through the store: it chunks a snapshot and hands
-// every payload to emit, returning the manifest skeleton. emit receives the
-// payload and must return its hash (typically hashChunk + pack put).
-func manifestForSnapshot(snap *Snapshot, rawLanes bool, emit func(payload []byte) (ChunkHash, error)) (*manifest, error) {
-	m := &manifest{dbName: snap.DBName, epoch: snap.Epoch}
+// LaneCodecBytes measures what the sampled lane codecs save on snap: the
+// payload bytes of every chunk a checkpoint of snap references, encoded with
+// identity lanes (raw) and with the codecs the checkpoint writer uses
+// (encoded). Nothing is written.
+func LaneCodecBytes(snap *Snapshot) (raw, encoded int64) {
+	return chunkPayloadBytes(snap, true), chunkPayloadBytes(snap, false)
+}
+
+// chunkPayloadBytes chunks snap exactly as encodeSnapshotChunks does — minus
+// the pack and the fingerprint cache — and sums the payload lengths.
+func chunkPayloadBytes(snap *Snapshot, rawLanes bool) int64 {
+	var total int64
 	var e enc
+	emit := func() {
+		total += int64(len(e.b))
+		e.b = e.b[:0]
+	}
 	for _, t := range snap.Tables {
 		meta := metaForTable(t)
-		mt := manifestTable{meta: meta, cols: make([][]ChunkHash, len(meta.schema.Columns))}
-		nbands := numBands(meta.nrows, meta.bandRows)
-		for ci := range mt.cols {
+		for ci := range meta.schema.Columns {
 			lanes := t.ColumnLanes(ci)
-			bands := make([]ChunkHash, nbands)
-			for b := range bands {
+			for b := 0; b < numBands(meta.nrows, meta.bandRows); b++ {
 				lo, hi := bandSpan(b, meta.bandRows, meta.nrows)
-				e.b = e.b[:0]
 				encodeColBand(&e, lanes, lo, hi, rawLanes)
-				h, err := emit(e.b)
-				if err != nil {
-					return nil, err
-				}
-				bands[b] = h
+				emit()
 			}
-			mt.cols[ci] = bands
 		}
-		m.tables = append(m.tables, mt)
 	}
 	for _, st := range snap.CVDs {
 		layout := layoutForCVD(st)
-		mc := manifestCVD{layout: layout}
-		e.b = e.b[:0]
 		encodeCVDHead(&e, st)
-		h, err := emit(e.b)
-		if err != nil {
-			return nil, err
-		}
-		mc.head = h
-		mc.catalog = make([]ChunkHash, numBands(layout.records, layout.catBand))
-		for b := range mc.catalog {
+		emit()
+		for b := 0; b < numBands(layout.records, layout.catBand); b++ {
 			lo, hi := bandSpan(b, layout.catBand, layout.records)
-			e.b = e.b[:0]
 			encodeCatalogBand(&e, st.Records[lo:hi])
-			if mc.catalog[b], err = emit(e.b); err != nil {
-				return nil, err
-			}
+			emit()
 		}
-		mc.runs = make([]ChunkHash, numBands(layout.sets, layout.runLen))
-		for b := range mc.runs {
+		for b := 0; b < numBands(layout.sets, layout.runLen); b++ {
 			lo, hi := bandSpan(b, layout.runLen, layout.sets)
-			e.b = e.b[:0]
 			encodeRecsetRun(&e, st.RecordSets[lo:hi])
-			if mc.runs[b], err = emit(e.b); err != nil {
-				return nil, err
-			}
+			emit()
 		}
-		m.cvds = append(m.cvds, mc)
 	}
-	return m, nil
+	return total
 }

@@ -60,9 +60,6 @@ const (
 	IssueCorruptWALRecord IssueKind = "corrupt-wal-record"
 	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
-	// IssueCorruptSnapshot: the flat snapshot.orph fails validation (only
-	// checked when it is the recovery root, i.e. no manifest exists).
-	IssueCorruptSnapshot IssueKind = "corrupt-snapshot"
 	// IssueUnopenable: after repairs, a full open of the directory still
 	// fails (reported by Scrub's verification pass).
 	IssueUnopenable IssueKind = "unopenable"
@@ -119,7 +116,8 @@ type ScrubOptions struct {
 // Scrub checks the data directory at dir. It takes the directory's advisory
 // lock for the duration — a directory held open by a live engine refuses to
 // scrub. The returned report lists every defect found; err is reserved for
-// I/O failures of the scrub itself (an unreadable directory), not for
+// failures of the scrub itself (an unreadable directory, or a legacy layout
+// this build does not read — the same refusal Open gives), not for
 // corruption, which is always reported rather than returned.
 func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	fsys := opts.FS
@@ -127,6 +125,9 @@ func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 		fsys = vfs.OS()
 	}
 	if _, err := fsys.Stat(dir); err != nil {
+		return nil, err
+	}
+	if err := checkLegacyLayout(fsys, dir); err != nil {
 		return nil, err
 	}
 	lock, err := lockDir(fsys, dir)
@@ -156,12 +157,12 @@ func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 
 // packState is the pack walk's outcome.
 type packState struct {
-	path    string
-	exists  bool
-	valid   map[ChunkHash]chunkLoc
-	corrupt map[ChunkHash]chunkLoc // frames present but failing CRC or hash
-	tornAt  int64                  // file offset of a torn tail, -1 if none
-	size    int64
+	path      string
+	exists    bool
+	valid     map[ChunkHash]chunkLoc
+	corrupt   map[ChunkHash]chunkLoc // frames present but failing CRC or hash
+	tornAt    int64                  // file offset of a torn tail, -1 if none
+	size      int64
 	headerBad string // non-empty: the file is not a readable pack at all
 }
 
@@ -405,7 +406,7 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	}
 
 	// The recovery root Scrub will hold the directory to: the newest usable
-	// manifest, else the flat snapshot (validated only when it is the root).
+	// manifest, else (no manifest at all) an empty state at epoch 0.
 	bestUsable := -1
 	for i := len(manifests) - 1; i >= 0; i-- {
 		if manifests[i].usable() {
@@ -419,18 +420,7 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		base = manifests[bestUsable].epoch
 		haveRoot = true
 	} else if len(manifests) == 0 {
-		snapPath := filepath.Join(dir, SnapshotFile)
-		if _, err := fsys.Stat(snapPath); err == nil {
-			snap, err := readSnapshotFileFS(fsys, snapPath)
-			if err != nil {
-				rep.addIssue(ScrubIssue{Kind: IssueCorruptSnapshot, Path: snapPath, Detail: err.Error()})
-			} else if snap != nil {
-				base = snap.Epoch
-				haveRoot = true
-			}
-		} else {
-			haveRoot = true // empty/fresh directory: base 0
-		}
+		haveRoot = true
 	}
 
 	// Quarantine fallback: the newest manifests are damaged but an older one

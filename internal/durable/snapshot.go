@@ -1,21 +1,12 @@
 package durable
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"repro/internal/cvd"
 	"repro/internal/recset"
 	"repro/internal/relstore"
-	"repro/internal/vfs"
 	"repro/internal/vgraph"
 )
 
@@ -48,331 +39,7 @@ type Snapshot struct {
 	CVDs   []*cvd.PersistentState
 }
 
-// Section kinds of the single-file snapshot stream (the Save export format).
-// The stream is strictly sequential — header, then per table its meta
-// followed by its column-band chunks (col-major), then per CVD its layout +
-// head chunk followed by catalog-band and recset-run chunks — so both writer
-// and reader touch one section at a time: peak memory is O(largest section),
-// not O(snapshot).
-const (
-	secHeader uint8 = 1
-	secTable  uint8 = 2
-	secCVD    uint8 = 3
-	secChunk  uint8 = 4
-)
-
-// SnapshotOptions tunes snapshot encoding.
-type SnapshotOptions struct {
-	// RawLanes forces the identity lane encodings, disabling the sampled
-	// codecs — the uncompressed baseline for the compression benchmark.
-	RawLanes bool
-}
-
-// writeSection frames one section: kind, payload length, payload, CRC32.
-func writeSection(w io.Writer, kind uint8, payload []byte) error {
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
-	return err
-}
-
-// readSection reads one framed section; io.EOF (clean) signals end of stream.
-func readSection(r io.Reader) (uint8, []byte, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("durable: truncated section header: %w", err)
-	}
-	kind := hdr[0]
-	n := binary.LittleEndian.Uint64(hdr[1:])
-	if n > 1<<40 {
-		return 0, nil, fmt.Errorf("durable: implausible section length %d", n)
-	}
-	// The length is read before the payload CRC can vouch for it, so grow
-	// incrementally (CopyN reads in small chunks): a corrupt huge length
-	// fails with a truncation error once the real bytes run out instead of
-	// attempting one giant allocation up front.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return 0, nil, fmt.Errorf("durable: truncated section payload: %w", err)
-	}
-	payload := buf.Bytes()
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return 0, nil, fmt.Errorf("durable: truncated section CRC: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return 0, nil, fmt.Errorf("durable: section kind %d CRC mismatch (%08x != %08x)", kind, got, want)
-	}
-	return kind, payload, nil
-}
-
-// WriteSnapshot serializes a snapshot to w with default options.
-func WriteSnapshot(w io.Writer, snap *Snapshot) error {
-	return WriteSnapshotOpts(w, snap, SnapshotOptions{})
-}
-
-// WriteSnapshotOpts serializes a snapshot to w: magic, format version, then
-// the sequential section stream (see the section-kind comment), each section
-// CRC32-framed independently so corruption is localized on read. One encoder
-// buffer is reused for every section, so peak memory above the snapshot
-// itself is the largest single chunk.
-func WriteSnapshotOpts(w io.Writer, snap *Snapshot, opts SnapshotOptions) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], formatVersion)
-	if _, err := bw.Write(ver[:]); err != nil {
-		return err
-	}
-	var e enc
-	e.str(snap.DBName)
-	e.u64(snap.Epoch)
-	e.uvarint(uint64(len(snap.Tables)))
-	e.uvarint(uint64(len(snap.CVDs)))
-	if err := writeSection(bw, secHeader, e.b); err != nil {
-		return err
-	}
-	for _, t := range snap.Tables {
-		meta := metaForTable(t)
-		e.b = e.b[:0]
-		e.tableMeta(&meta)
-		if err := writeSection(bw, secTable, e.b); err != nil {
-			return err
-		}
-		for ci := range meta.schema.Columns {
-			lanes := t.ColumnLanes(ci)
-			for b := 0; b < numBands(meta.nrows, meta.bandRows); b++ {
-				lo, hi := bandSpan(b, meta.bandRows, meta.nrows)
-				e.b = e.b[:0]
-				encodeColBand(&e, lanes, lo, hi, opts.RawLanes)
-				if err := writeSection(bw, secChunk, e.b); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, st := range snap.CVDs {
-		layout := layoutForCVD(st)
-		e.b = e.b[:0]
-		e.cvdLayout(&layout)
-		encodeCVDHead(&e, st)
-		if err := writeSection(bw, secCVD, e.b); err != nil {
-			return err
-		}
-		for b := 0; b < numBands(layout.records, layout.catBand); b++ {
-			lo, hi := bandSpan(b, layout.catBand, layout.records)
-			e.b = e.b[:0]
-			encodeCatalogBand(&e, st.Records[lo:hi])
-			if err := writeSection(bw, secChunk, e.b); err != nil {
-				return err
-			}
-		}
-		for b := 0; b < numBands(layout.sets, layout.runLen); b++ {
-			lo, hi := bandSpan(b, layout.runLen, layout.sets)
-			e.b = e.b[:0]
-			encodeRecsetRun(&e, st.RecordSets[lo:hi])
-			if err := writeSection(bw, secChunk, e.b); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// readChunkSection reads the next section and requires it to be a chunk.
-func readChunkSection(br io.Reader, what string) ([]byte, error) {
-	kind, payload, err := readSection(br)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %s: %w", what, err)
-	}
-	if kind != secChunk {
-		return nil, fmt.Errorf("durable: %s: section kind %d, want chunk", what, kind)
-	}
-	return payload, nil
-}
-
-// ReadSnapshot parses a snapshot stream written by WriteSnapshot, one
-// section at a time.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("durable: reading snapshot magic: %w", err)
-	}
-	if string(magic[:]) != snapshotMagic {
-		return nil, fmt.Errorf("durable: not a snapshot file (magic %q)", magic[:])
-	}
-	var ver [4]byte
-	if _, err := io.ReadFull(br, ver[:]); err != nil {
-		return nil, fmt.Errorf("durable: reading snapshot version: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(ver[:]); v != formatVersion {
-		return nil, fmt.Errorf("durable: unsupported snapshot format version %d (want %d; reopen with a matching build and re-export)", v, formatVersion)
-	}
-	kind, payload, err := readSection(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != secHeader {
-		return nil, fmt.Errorf("durable: first section is kind %d, want header", kind)
-	}
-	d := &dec{b: payload}
-	snap := &Snapshot{DBName: d.str(), Epoch: d.u64()}
-	// The header counts refer to the sections that follow, not to bytes of
-	// this payload, so they get an absolute bound rather than the
-	// payload-relative plausibility check.
-	numTables := d.uvarint()
-	numCVDs := d.uvarint()
-	if d.err != nil {
-		return nil, fmt.Errorf("durable: snapshot header: %w", d.err)
-	}
-	if numTables > 1<<24 || numCVDs > 1<<24 {
-		return nil, fmt.Errorf("durable: snapshot header: implausible section counts (%d tables, %d CVDs)", numTables, numCVDs)
-	}
-	for i := uint64(0); i < numTables; i++ {
-		kind, payload, err := readSection(br)
-		if err != nil {
-			return nil, fmt.Errorf("durable: table section %d: %w", i, err)
-		}
-		if kind != secTable {
-			return nil, fmt.Errorf("durable: section %d is kind %d, want table", i, kind)
-		}
-		td := &dec{b: payload}
-		meta := td.tableMeta()
-		if td.err != nil {
-			return nil, fmt.Errorf("durable: table section %d: %w", i, td.err)
-		}
-		asm := newTableAssembler(meta)
-		for ci := range meta.schema.Columns {
-			for b := 0; b < numBands(meta.nrows, meta.bandRows); b++ {
-				chunk, err := readChunkSection(br, fmt.Sprintf("table %s column %d", meta.name, ci))
-				if err != nil {
-					return nil, err
-				}
-				if err := asm.addBand(ci, chunk); err != nil {
-					return nil, err
-				}
-			}
-		}
-		t, err := asm.finish()
-		if err != nil {
-			return nil, err
-		}
-		snap.Tables = append(snap.Tables, t)
-	}
-	for i := uint64(0); i < numCVDs; i++ {
-		kind, payload, err := readSection(br)
-		if err != nil {
-			return nil, fmt.Errorf("durable: CVD section %d: %w", i, err)
-		}
-		if kind != secCVD {
-			return nil, fmt.Errorf("durable: section %d is kind %d, want CVD", i, kind)
-		}
-		cd := &dec{b: payload}
-		layout := cd.cvdLayout()
-		if cd.err != nil {
-			return nil, fmt.Errorf("durable: CVD section %d: %w", i, cd.err)
-		}
-		asm, err := newCVDAssembler(layout, payload[cd.off:])
-		if err != nil {
-			return nil, err
-		}
-		for b := 0; b < numBands(layout.records, layout.catBand); b++ {
-			chunk, err := readChunkSection(br, fmt.Sprintf("CVD %s catalog", layout.name))
-			if err != nil {
-				return nil, err
-			}
-			if err := asm.addCatalogBand(chunk); err != nil {
-				return nil, err
-			}
-		}
-		for b := 0; b < numBands(layout.sets, layout.runLen); b++ {
-			chunk, err := readChunkSection(br, fmt.Sprintf("CVD %s record sets", layout.name))
-			if err != nil {
-				return nil, err
-			}
-			if err := asm.addRecsetRun(chunk); err != nil {
-				return nil, err
-			}
-		}
-		st, err := asm.finish()
-		if err != nil {
-			return nil, err
-		}
-		snap.CVDs = append(snap.CVDs, st)
-	}
-	return snap, nil
-}
-
-// WriteSnapshotFile writes a snapshot atomically: into a temp file in the
-// same directory, fsynced, then renamed over the target.
-func WriteSnapshotFile(path string, snap *Snapshot) error {
-	return writeSnapshotFileFS(vfs.OS(), path, snap, SnapshotOptions{})
-}
-
-// WriteSnapshotFileOpts is WriteSnapshotFile with explicit encoding options.
-func WriteSnapshotFileOpts(path string, snap *Snapshot, opts SnapshotOptions) error {
-	return writeSnapshotFileFS(vfs.OS(), path, snap, opts)
-}
-
-// writeSnapshotFileFS is the FS-explicit snapshot writer behind the exported
-// entry points: temp file, fsync, rename, dir sync.
-func writeSnapshotFileFS(fsys vfs.FS, path string, snap *Snapshot, opts SnapshotOptions) error {
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, ".snapshot-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer fsys.Remove(tmp.Name())
-	if err := WriteSnapshotOpts(tmp, snap, opts); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
-// ReadSnapshotFile loads a snapshot file; a missing file returns (nil, nil).
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	return readSnapshotFileFS(vfs.OS(), path)
-}
-
-func readSnapshotFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
-	f, err := vfs.Open(fsys, path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
-}
-
-// ---- table sections ---------------------------------------------------------
+// ---- table chunks -----------------------------------------------------------
 
 // Lane presence bits of a serialized column.
 const (
@@ -382,7 +49,7 @@ const (
 	laneArrs
 )
 
-// ---- CVD sections -----------------------------------------------------------
+// ---- CVD chunks -------------------------------------------------------------
 
 func sortedVersionKeys(m map[vgraph.VersionID]int) []vgraph.VersionID {
 	out := make([]vgraph.VersionID, 0, len(m))

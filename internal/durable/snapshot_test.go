@@ -1,10 +1,10 @@
 package durable
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cvd"
 	"repro/internal/recset"
 	"repro/internal/relstore"
 )
@@ -156,43 +156,32 @@ func TestTableBandChunkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotStreamRoundTripAndCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// TestLaneCodecBytesMatchesCheckpoint pins LaneCodecBytes to the checkpoint
+// writer: its encoded figure is exactly the chunk payload bytes a first
+// checkpoint of the same snapshot references, and the codecs beat identity
+// lanes on a table with a sequential key column.
+func TestLaneCodecBytesMatchesCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
 	snap := &Snapshot{
 		DBName: "db",
-		Epoch:  42,
-		Tables: []*relstore.Table{
-			randomTable(t, rng, "a", 40),
-			randomTable(t, rng, "b", 7),
-		},
+		Tables: []*relstore.Table{randomTable(t, rng, "a", 500), randomTable(t, rng, "b", 7)},
+		CVDs:   []*cvd.PersistentState{fuzzCVDState()},
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	raw, encoded := LaneCodecBytes(snap)
+	s, _, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DBName != "db" || got.Epoch != 42 || len(got.Tables) != 2 {
-		t.Fatalf("manifest mismatch: %+v", got)
+	defer s.Close()
+	stats, err := s.CheckpointSync(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range snap.Tables {
-		tablesEqual(t, snap.Tables[i], got.Tables[i])
+	if encoded != stats.ChunkBytes {
+		t.Fatalf("LaneCodecBytes encoded = %d, checkpoint references %d chunk payload bytes", encoded, stats.ChunkBytes)
 	}
-
-	// Flip one payload byte: the section CRC must catch it.
-	raw := append([]byte(nil), buf.Bytes()...)
-	raw[len(raw)/2] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted snapshot read succeeded")
-	}
-
-	// Truncations must error, not panic.
-	for cut := 1; cut < len(raw); cut += 97 {
-		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("truncated snapshot (%d bytes) read succeeded", cut)
-		}
+	if raw <= encoded {
+		t.Fatalf("identity lanes %d bytes <= codecs %d bytes", raw, encoded)
 	}
 }
 

@@ -45,7 +45,7 @@ type Store struct {
 	walPath    string
 	lock       io.Closer // held advisory lock fencing other processes
 	epoch      uint64    // active WAL segment epoch == next manifest epoch
-	base       uint64    // newest durable manifest epoch (or flat-snapshot epoch)
+	base       uint64    // newest durable manifest epoch
 	walSize    int64     // offset just past the last durable record (header included)
 	poisoned   error     // sticky fatal error: the log tail state is unknown
 	sealed     []walSegment
@@ -194,7 +194,7 @@ type OpenResult struct {
 // removeLeftoverTemps clears crash debris: temp files whose rename never
 // happened.
 func removeLeftoverTemps(fsys vfs.FS, dir string) {
-	for _, pat := range []string{".snapshot-*.tmp", ".manifest-*.tmp", ".chunks-*.tmp"} {
+	for _, pat := range []string{".manifest-*.tmp", ".chunks-*.tmp"} {
 		matches, _ := vfs.Glob(fsys, dir, pat)
 		for _, m := range matches {
 			fsys.Remove(m)
@@ -222,8 +222,7 @@ func listWALSegments(fsys vfs.FS, dir string) ([]walSegment, error) {
 }
 
 // Open opens (creating if needed) a data directory and recovers it: the
-// newest manifest's chunks are assembled into the snapshot (falling back to a
-// flat snapshot.orph export if no checkpoint ever completed), stale WAL
+// newest manifest's chunks are assembled into the snapshot, stale WAL
 // segments are deleted, and the surviving segments' framing is validated — a
 // torn tail from a crashed append is truncated so the active segment ends on
 // a record boundary. Call ReplayWAL next to stream the surviving records; the
@@ -239,8 +238,8 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	if _, err := fsys.Stat(filepath.Join(dir, WALFile)); err == nil {
-		return nil, nil, fmt.Errorf("durable: %s holds a format v1 WAL (%s); this build reads format v2 only — re-export from a v1 build and load the export", dir, WALFile)
+	if err := checkLegacyLayout(fsys, dir); err != nil {
+		return nil, nil, err
 	}
 	lock, err := lockDir(fsys, dir)
 	if err != nil {
@@ -301,15 +300,6 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 			return fail(err)
 		}
 		res.Snapshot = snap
-	} else {
-		snap, err := readSnapshotFileFS(fsys, filepath.Join(dir, SnapshotFile))
-		if err != nil {
-			return fail(err)
-		}
-		if snap != nil {
-			s.base = snap.Epoch
-			res.Snapshot = snap
-		}
 	}
 
 	segs, err := listWALSegments(fsys, dir)
@@ -745,9 +735,6 @@ func (s *Store) CompleteCheckpoint(job *CheckpointJob, snap *Snapshot) (Checkpoi
 	retain := s.retain
 	s.mu.Unlock()
 
-	// The flat snapshot export (if this directory began life as one) is
-	// superseded by the manifest now.
-	s.fsys.Remove(filepath.Join(s.dir, SnapshotFile))
 	s.collectGarbage(retain)
 	stats.Duration = time.Since(job.start)
 	return stats, nil
@@ -1068,48 +1055,44 @@ func WALBytes(dir string) (int64, error) {
 	return total, nil
 }
 
-// SaveSnapshot writes a one-shot flat snapshot (epoch 0, no WAL) into dir,
-// creating it if needed — the engine's Save-to-a-new-directory export path.
-// The directory's advisory lock is held for the write so a concurrent engine
-// cannot open the directory mid-export. A directory that already holds live
-// checkpoint state is refused: overwriting part of it would desynchronize
-// the manifest/WAL pairing.
-func SaveSnapshot(dir string, snap *Snapshot) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// Export writes snap into dir (created if needed) as a standalone data
+// directory — exactly the files OpenDurable + Checkpoint + Close leave
+// behind — by opening a fresh store there and checkpointing snap through
+// the normal checkpoint writer. A directory that already holds data-directory
+// state (live or exported) is refused: checkpointing over it would replace
+// its history.
+func Export(dir string, fsys vfs.FS, snap *Snapshot, workers int) error {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Check for live artifacts before taking the flock: saving into a live,
-	// currently open data directory then fails with this message instead of
-	// the lock contention one. The post-lock write is still fenced either way.
-	if live, what := liveDirArtifact(dir); live {
-		return fmt.Errorf("durable: %s is a live data directory (has %s); use Checkpoint instead of Save", dir, what)
+	// Checked before OpenFS takes the lock, so exporting into an open live
+	// directory fails with this message instead of the lock contention one.
+	if name := dataDirFile(fsys, dir); name != "" {
+		return fmt.Errorf("durable: %s already holds data-directory state (%s); export into a new directory, or Checkpoint a live one", dir, name)
 	}
-	lock, err := lockDir(vfs.OS(), dir)
+	s, _, err := OpenFS(dir, fsys)
 	if err != nil {
 		return err
 	}
-	defer lock.Close()
-	snap.Epoch = 0
-	return WriteSnapshotFile(filepath.Join(dir, SnapshotFile), snap)
+	s.SetWorkers(workers)
+	_, err = s.CheckpointSync(snap)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// liveDirArtifact reports whether dir holds live data-directory state and
-// what kind was found.
-func liveDirArtifact(dir string) (bool, string) {
-	if _, err := os.Stat(filepath.Join(dir, WALFile)); err == nil {
-		return true, "a format v1 WAL"
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, ""
-	}
+// dataDirFile returns the name of a data-directory file dir already holds
+// ("" if none). Legacy layouts are OpenFS's to refuse.
+func dataDirFile(fsys vfs.FS, dir string) string {
+	entries, _ := fsys.ReadDir(dir) // an unreadable dir fails in OpenFS next
 	for _, ent := range entries {
-		if _, ok := parseManifestName(ent.Name()); ok {
-			return true, "a checkpoint manifest"
-		}
-		if _, ok := parseWALSegmentName(ent.Name()); ok {
-			return true, "a WAL segment"
+		name := ent.Name()
+		_, manifest := parseManifestName(name)
+		_, segment := parseWALSegmentName(name)
+		if manifest || segment || name == PackFile {
+			return name
 		}
 	}
-	return false, ""
+	return ""
 }

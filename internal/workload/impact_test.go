@@ -1,8 +1,13 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // TestRunCheckpointAndRestore pins the runner's checkpoint_every/restore_epoch
@@ -39,14 +44,35 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 }
 
 // TestRunRestoreSpecificEpoch pins restore_epoch with an explicit epoch id
-// (every run checkpoints at least once with these op counts, so epoch 1 is
-// always retained).
+// against checkpoint retention, which keeps the newest
+// durable.DefaultCheckpointRetention manifests. A run that checkpoints more
+// often than that has collected epoch 1, and asking for it must fail loudly;
+// a run whose checkpoint count stays inside the window restores epoch 1, and
+// every version it holds checks out bit-identically to the final state.
 func TestRunRestoreSpecificEpoch(t *testing.T) {
+	// About 50 commits at checkpoint_every 5 nudge 10 checkpoints (a nudge
+	// that arrives while one is already pending coalesces into it; 9–10
+	// ran in every measured run), so epoch 1 has been collected.
 	spec := smallSpec(t, ModeInProcess)
-	spec.Name = "t_ckpt_epoch1"
+	spec.Name = "t_ckpt_epoch1_gc"
 	spec.Ops = 60
 	spec.Mix = Mix{Commit: 80, Checkout: 10, Select: 10, Merge: 0}
 	spec.Engine = EngineSpec{Durable: true, CheckpointEvery: 5, RestoreEpoch: 1}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "not retained") {
+		t.Fatalf("restore of a collected epoch 1: err = %v, want \"not retained\"", err)
+	}
+
+	// At most 40 commits at checkpoint_every 5: at most 8 checkpoints, all
+	// retained.
+	dir := t.TempDir()
+	spec = smallSpec(t, ModeInProcess)
+	spec.Name = "t_ckpt_epoch1"
+	spec.Ops = 40
+	spec.Mix = Mix{Commit: 80, Checkout: 10, Select: 10, Merge: 0}
+	spec.Engine = EngineSpec{Durable: true, DataDir: dir, CheckpointEvery: 5, RestoreEpoch: 1}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +80,45 @@ func TestRunRestoreSpecificEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if report.Checkpoints > durable.DefaultCheckpointRetention {
+		t.Fatalf("%d checkpoints from %d ops: the spec no longer fits the retention window", report.Checkpoints, spec.Ops)
+	}
 	if !report.RestoreVerified || report.RestoredEpoch != 1 {
-		t.Errorf("restore: verified=%v epoch=%d, want verified epoch 1",
+		t.Fatalf("restore: verified=%v epoch=%d, want verified epoch 1",
 			report.RestoreVerified, report.RestoredEpoch)
+	}
+	at1, err := core.OpenAtEpoch("epoch1", dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := core.OpenDurable("final", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer final.Close()
+	c1, err := at1.CVD(CVDName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := final.CVD(CVDName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1.NumVersions() >= cf.NumVersions() {
+		t.Fatalf("epoch 1 holds %d versions, final state %d: epoch 1 is not a past state", c1.NumVersions(), cf.NumVersions())
+	}
+	for _, v := range c1.Versions() {
+		a, err := core.CheckoutVersionRows(at1, CVDName, v, "e1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.CheckoutVersionRows(final, CVDName, v, "final")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.RowsBitIdentical(fmt.Sprintf("version %d", v), a, b); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
