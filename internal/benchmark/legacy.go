@@ -5,7 +5,9 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
+	"repro/internal/cvd"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
@@ -13,9 +15,11 @@ import (
 // This file freezes the superseded implementations of the hot paths so the
 // before/after experiments can report honest numbers against the same
 // inputs: the pre-recset map-based LyreSplit and clone-per-row checkout
-// (RunRecset), and the pre-columnar row-backed physical table layout with
-// its closure-per-row predicate evaluation (RunColumnar). Nothing outside
-// the benchmark harness calls these.
+// (RunRecset), the pre-columnar row-backed physical table layout with its
+// closure-per-row predicate evaluation (RunColumnar), and the string-key
+// commit diff that the content index replaced (the reference of the
+// commit-equivalence tests). Nothing outside the benchmark harness calls
+// these.
 
 // legacyRowTable freezes the pre-columnar physical layout of
 // relstore.Table: boxed Row tuples in a []Row slice, scanned row at a time,
@@ -331,4 +335,107 @@ func legacyCheckout(data *legacyRowTable, rids []vgraph.RecordID) (*legacyRowTab
 		return nil, fmt.Errorf("benchmark: legacy checkout matched no rows")
 	}
 	return out, nil
+}
+
+// legacyCommitPlan is what the frozen commit diff decides for one commit:
+// the new version's rids in staged-row order and the records it creates.
+type legacyCommitPlan struct {
+	RIDs       []vgraph.RecordID
+	NewRecords []cvd.CommitRecord
+}
+
+// legacyBuildCommit freezes cvd.buildCommit as it was before the content
+// index: evolve the schema, render every parent record as a \x1f-joined
+// string key into a map, then look up each staged row's key — O(parent)
+// string building per commit. It plans the commit of rows (in rowSchema
+// order) on top of st, the CVD's state just before the commit, and leaves
+// st untouched.
+func legacyBuildCommit(st *cvd.PersistentState, parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema) (legacyCommitPlan, error) {
+	schema, err := legacyEvolveSchema(st.Schema, rowSchema)
+	if err != nil {
+		return legacyCommitPlan{}, err
+	}
+	width := len(schema.Columns)
+	contentKey := func(r relstore.Row) string {
+		var b strings.Builder
+		for i := 0; i < width; i++ {
+			if i > 0 {
+				b.WriteByte('\x1f')
+			}
+			if i < len(r) {
+				b.WriteString(r[i].AsString())
+			}
+		}
+		return b.String()
+	}
+	records := make(map[vgraph.RecordID]relstore.Row, len(st.Records))
+	for _, rec := range st.Records {
+		records[rec.RID] = rec.Row
+	}
+	var plan legacyCommitPlan
+	parentByKey := make(map[string]vgraph.RecordID)
+	for _, p := range parents {
+		for _, vs := range st.RecordSets {
+			if vs.Version != p {
+				continue
+			}
+			for _, rid := range vgraph.RecordIDs(vs.Set) {
+				key := contentKey(records[rid])
+				if _, exists := parentByKey[key]; !exists {
+					parentByKey[key] = rid
+				}
+			}
+		}
+	}
+	nextRID := st.NextRID
+	seenRID := make(map[vgraph.RecordID]struct{}, len(rows))
+	for _, r := range rows {
+		if len(r) != len(rowSchema.Columns) {
+			return legacyCommitPlan{}, fmt.Errorf("row has %d values but schema has %d columns", len(r), len(rowSchema.Columns))
+		}
+		aligned := make(relstore.Row, width)
+		for j, col := range rowSchema.Columns {
+			i := schema.ColumnIndex(col.Name)
+			if i < 0 {
+				return legacyCommitPlan{}, fmt.Errorf("column %q not in CVD schema after evolution", col.Name)
+			}
+			aligned[i] = r[j]
+		}
+		key := contentKey(aligned)
+		if rid, ok := parentByKey[key]; ok {
+			if _, dup := seenRID[rid]; dup {
+				continue // identical duplicate row within the staged table
+			}
+			seenRID[rid] = struct{}{}
+			plan.RIDs = append(plan.RIDs, rid)
+			continue
+		}
+		rid := nextRID
+		nextRID++
+		seenRID[rid] = struct{}{}
+		plan.RIDs = append(plan.RIDs, rid)
+		plan.NewRecords = append(plan.NewRecords, cvd.CommitRecord{RID: rid, Row: aligned})
+	}
+	return plan, nil
+}
+
+// legacyEvolveSchema is the single-pool schema merge buildCommit ran first:
+// new attributes are appended, conflicting types generalized.
+func legacyEvolveSchema(current, incoming relstore.Schema) (relstore.Schema, error) {
+	merged := current.Clone()
+	for _, col := range incoming.Columns {
+		if col.Name == "rid" {
+			continue
+		}
+		i := merged.ColumnIndex(col.Name)
+		if i < 0 {
+			var err error
+			if merged, err = merged.WithColumn(col); err != nil {
+				return relstore.Schema{}, err
+			}
+			continue
+		}
+		merged.Columns[i].Type = relstore.GeneralizeType(merged.Columns[i].Type, col.Type)
+	}
+	return merged, nil
 }

@@ -3,7 +3,6 @@ package cvd
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +35,7 @@ type CVD struct {
 	graph   *vgraph.Graph
 	bip     *vgraph.Bipartite
 	records map[vgraph.RecordID]relstore.Row // record catalog: rid -> data values
+	content *contentIndex                    // content-key hash -> rid over records
 	meta    *metadataStore
 	attrs   *AttributeRegistry
 
@@ -124,6 +124,7 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 		graph:      vgraph.New(),
 		bip:        vgraph.NewBipartite(),
 		records:    make(map[vgraph.RecordID]relstore.Row),
+		content:    newContentIndex(len(rows)),
 		attrs:      NewAttributeRegistry(),
 		nextVID:    1,
 		nextRID:    1,
@@ -153,11 +154,12 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 	}
 	c.model = model
 
-	if err := c.checkPrimaryKey(rows, schema); err != nil {
+	in := stagedRows(rows, schema)
+	if err := c.checkStaged(in); err != nil {
 		meta.drop()
 		return nil, err
 	}
-	req, err := c.buildCommit(nil, rows, schema)
+	req, err := c.diff(nil, in)
 	if err != nil {
 		meta.drop()
 		return nil, err
@@ -415,115 +417,6 @@ func (c *CVD) Drop() {
 	c.reserved = make(map[string]struct{})
 }
 
-// contentKey encodes a data row (padded to the current schema width) for
-// record-identity comparison during commit.
-func (c *CVD) contentKey(r relstore.Row) string {
-	padded := padRow(r, len(c.schema.Columns))
-	var b strings.Builder
-	for i, v := range padded[:len(c.schema.Columns)] {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.AsString())
-	}
-	return b.String()
-}
-
-// checkPrimaryKey verifies that no two rows share primary-key values (a
-// constraint that must hold within a single version).
-func (c *CVD) checkPrimaryKey(rows []relstore.Row, schema relstore.Schema) error {
-	pk := schema.PrimaryKeyIndexes()
-	if len(pk) == 0 {
-		return nil
-	}
-	seen := make(map[string]struct{}, len(rows))
-	for _, r := range rows {
-		var b strings.Builder
-		for _, i := range pk {
-			if i < len(r) {
-				b.WriteString(r[i].AsString())
-			}
-			b.WriteByte('\x1f')
-		}
-		k := b.String()
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("cvd: %s: duplicate primary key %q within a version", c.name, k)
-		}
-		seen[k] = struct{}{}
-	}
-	return nil
-}
-
-// buildCommit diffs the staged rows against the parent versions following
-// the no cross-version diff rule: a staged row reuses the rid of a parent
-// record with identical content; all other rows get fresh rids.
-func (c *CVD) buildCommit(parents []vgraph.VersionID, rows []relstore.Row, schema relstore.Schema) (CommitRequest, error) {
-	// Single-pool schema evolution first, so content keys use the final width.
-	if err := c.evolveSchema(schema); err != nil {
-		return CommitRequest{}, err
-	}
-	req := CommitRequest{
-		Version:    c.nextVID,
-		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: make(map[vgraph.VersionID][]vgraph.RecordID, len(parents)),
-		Lookup:     c.lookupRecord,
-	}
-	parentByKey := make(map[string]vgraph.RecordID)
-	for _, p := range parents {
-		rids := c.recordsOfLocked(p)
-		req.ParentRIDs[p] = rids
-		for _, rid := range rids {
-			key := c.contentKey(c.records[rid])
-			if _, exists := parentByKey[key]; !exists {
-				parentByKey[key] = rid
-			}
-		}
-	}
-	seenRID := make(map[vgraph.RecordID]struct{}, len(rows))
-	for _, r := range rows {
-		aligned, err := c.alignRow(r, schema)
-		if err != nil {
-			return CommitRequest{}, err
-		}
-		key := c.contentKey(aligned)
-		if rid, ok := parentByKey[key]; ok {
-			if _, dup := seenRID[rid]; dup {
-				continue // identical duplicate row within the staged table
-			}
-			seenRID[rid] = struct{}{}
-			req.RIDs = append(req.RIDs, rid)
-			continue
-		}
-		rid := c.nextRID
-		c.nextRID++
-		c.records[rid] = aligned
-		seenRID[rid] = struct{}{}
-		req.RIDs = append(req.RIDs, rid)
-		req.NewRecords = append(req.NewRecords, CommitRecord{RID: rid, Row: aligned})
-	}
-	return req, nil
-}
-
-// alignRow reorders/pads a row expressed in rowSchema's column order into the
-// CVD's current schema order.
-func (c *CVD) alignRow(r relstore.Row, rowSchema relstore.Schema) (relstore.Row, error) {
-	if len(r) != len(rowSchema.Columns) {
-		return nil, fmt.Errorf("cvd: %s: row has %d values but schema has %d columns", c.name, len(r), len(rowSchema.Columns))
-	}
-	out := make(relstore.Row, len(c.schema.Columns))
-	for i := range out {
-		out[i] = relstore.Null()
-	}
-	for j, col := range rowSchema.Columns {
-		i := c.schema.ColumnIndex(col.Name)
-		if i < 0 {
-			return nil, fmt.Errorf("cvd: %s: column %q not in CVD schema after evolution", c.name, col.Name)
-		}
-		out[i] = r[j]
-	}
-	return out, nil
-}
-
 // evolveSchema merges an incoming schema into the CVD's single-pool schema:
 // new attributes are added, and conflicting types are generalized
 // (Section 4.3). The physical model is altered accordingly.
@@ -621,6 +514,12 @@ func (c *CVD) Commit(parents []vgraph.VersionID, rows []relstore.Row, rowSchema 
 // metadata bit for bit; replayed commits run before a journal is attached,
 // so they are not logged a second time.
 func (c *CVD) CommitAt(parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string, at time.Time) (vgraph.VersionID, error) {
+	return c.commit(parents, stagedRows(rows, rowSchema), msg, author, at)
+}
+
+// commit is the body of every commit path: it validates, diffs and applies
+// the staged rows under the exclusive lock, then journals them.
+func (c *CVD) commit(parents []vgraph.VersionID, in staged, msg, author string, at time.Time) (vgraph.VersionID, error) {
 	if len(parents) == 0 {
 		return 0, fmt.Errorf("cvd: %s: commit requires at least one parent version", c.name)
 	}
@@ -640,10 +539,10 @@ func (c *CVD) CommitAt(parents []vgraph.VersionID, rows []relstore.Row, rowSchem
 			return 0, fmt.Errorf("cvd: %s: unknown parent version %d", c.name, p)
 		}
 	}
-	if err := c.checkPrimaryKey(rows, rowSchema); err != nil {
+	if err := c.checkStaged(in); err != nil {
 		return 0, err
 	}
-	req, err := c.buildCommit(parents, rows, rowSchema)
+	req, err := c.diff(parents, in)
 	if err != nil {
 		return 0, err
 	}
@@ -657,7 +556,7 @@ func (c *CVD) CommitAt(parents []vgraph.VersionID, rows []relstore.Row, rowSchem
 		return 0, err
 	}
 	if c.journal != nil {
-		if err := c.journal.LogCommit(c.name, parents, rows, rowSchema, msg, author, at); err != nil {
+		if err := c.journal.LogCommit(c.name, parents, in.rows(), in.schema, msg, author, at); err != nil {
 			// The commit is applied in memory but the WAL lacks it: poison the
 			// journal so every later commit fails fast instead of appending
 			// records that replay against this missing version, then surface
@@ -754,6 +653,7 @@ func (c *CVD) checkoutMerged(versions []vgraph.VersionID, tableName string) (*re
 	pk := c.schema.PrimaryKeyIndexes()
 	seenPK := make(map[string]struct{})
 	seenRID := make(map[int64]struct{})
+	var key []byte
 	for _, t := range tmps {
 		// Select the surviving positions of this version's staging table with
 		// cell reads only, then append them column-wise in one batch.
@@ -764,17 +664,15 @@ func (c *CVD) checkoutMerged(versions []vgraph.VersionID, tableName string) (*re
 				continue
 			}
 			if len(pk) > 0 {
-				var b strings.Builder
+				key = key[:0]
 				for _, j := range pk {
 					// +1 because checkout rows carry rid first.
-					b.WriteString(t.StringAt(i, j+1))
-					b.WriteByte('\x1f')
+					key = appendKeyCell(key, t.At(i, j+1))
 				}
-				k := b.String()
-				if _, dup := seenPK[k]; dup {
+				if _, dup := seenPK[string(key)]; dup {
 					continue
 				}
-				seenPK[k] = struct{}{}
+				seenPK[string(key)] = struct{}{}
 			}
 			seenRID[rid] = struct{}{}
 			keep = append(keep, int32(i))
@@ -840,19 +738,14 @@ func (c *CVD) CommitTable(tableName, msg, author string) (vgraph.VersionID, erro
 		restore()
 		return 0, fmt.Errorf("cvd: %s: staging table %q has been dropped", c.name, tableName)
 	}
-	// Strip the rid column (users may have added rows without rids).
-	dataCols := make([]string, 0, len(t.Schema.Columns))
-	for _, col := range t.Schema.Columns {
-		if col.Name != ridColumn {
-			dataCols = append(dataCols, col.Name)
-		}
-	}
-	proj, err := t.Project(tableName+"_commitproj", dataCols...)
+	// The staging table is diffed in place; its rid column (users may have
+	// added rows without rids) only lets unchanged rows keep their rids.
+	in, err := stagedCheckout(t)
 	if err != nil {
 		restore()
 		return 0, err
 	}
-	v, err := c.Commit(info.parents, proj.Rows(), proj.Schema, msg, author)
+	v, err := c.commit(info.parents, in, msg, author, time.Time{})
 	if err != nil {
 		if v != 0 {
 			// The commit was applied in memory but journaling it failed
@@ -876,7 +769,7 @@ func (c *CVD) CommitCSV(parents []vgraph.VersionID, r io.Reader, schema relstore
 	if err != nil {
 		return 0, err
 	}
-	return c.Commit(parents, t.Rows(), schema, msg, author)
+	return c.commit(parents, stagedTable(t, schema), msg, author, time.Time{})
 }
 
 // DiscardCheckout drops a staging table without committing it.

@@ -397,6 +397,50 @@ func TestCommitErrors(t *testing.T) {
 	}
 }
 
+// TestRecordIdentityNoSeparatorCollision: record identity, primary keys and
+// merge precedence compare cells one by one, so rows whose cells would join
+// into the same text under a separator byte stay distinct.
+func TestRecordIdentityNoSeparatorCollision(t *testing.T) {
+	str := relstore.Str
+	schema := relstore.MustSchema([]relstore.Column{
+		{Name: "a", Type: relstore.TypeString},
+		{Name: "b", Type: relstore.TypeString},
+	}, "a", "b")
+	c, err := Init(relstore.NewDatabase("db"), "sep", schema, []relstore.Row{{str("p"), str("q\x1f")}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(rows ...relstore.Row) vgraph.VersionID {
+		t.Helper()
+		v, err := c.Commit([]vgraph.VersionID{1}, rows, schema, "", "")
+		if err != nil {
+			t.Fatalf("commit %v: %v", rows, err)
+		}
+		return v
+	}
+	// The committed content is a new record, not version 1's look-alike.
+	v2 := commit(relstore.Row{str("p\x1fq"), str("")})
+	rids := c.RecordsOf(v2)
+	if len(rids) != 1 || rids[0] == 1 {
+		t.Fatalf("v2 records = %v, want one new record", rids)
+	}
+	if got, _ := c.RecordContent(rids[0]); got[0].S != "p\x1fq" || got[1].S != "" {
+		t.Fatalf("v2 content = %q, want [p\x1fq, \"\"]", []string{got[0].S, got[1].S})
+	}
+	// Two distinct primary keys, not a duplicate.
+	commit(relstore.Row{str("a\x1f"), str("b")}, relstore.Row{str("a"), str("\x1fb")})
+	// A merge keeps both rows: their primary keys differ.
+	v4 := commit(relstore.Row{str("a"), str("\x1fb")})
+	v5 := commit(relstore.Row{str("a\x1f"), str("b")})
+	tab, err := c.Checkout([]vgraph.VersionID{v4, v5}, "merged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("merge of v%d and v%d has %d rows, want 2", v4, v5, tab.Len())
+	}
+}
+
 func TestInitErrors(t *testing.T) {
 	db := relstore.NewDatabase("db")
 	if _, err := Init(db, "", proteinSchema(), nil, Options{}); err == nil {

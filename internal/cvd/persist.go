@@ -247,6 +247,7 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	for _, rec := range st.Records {
 		c.records[rec.RID] = rec.Row
 	}
+	c.content = buildContentIndex(c.records)
 	for _, vs := range st.RecordSets {
 		c.bip.SetVersionSet(vs.Version, vs.Set)
 	}

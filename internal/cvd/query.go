@@ -123,11 +123,13 @@ func (c *CVD) NamedPredicateAll(comparisons []ColumnComparison) (Predicate, erro
 
 // pushdownSetLocked evaluates a (multi-)column predicate vectorized over
 // the split-by-rlist master data table, returning the compressed set of
-// rids whose record content satisfies it. It returns ok=false when the
-// predicate is opaque or the CVD's physical model has no shared data table
-// to scan (the caller then falls back to row-at-a-time evaluation).
-// Callers hold c.mu.
-func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
+// rids whose record content satisfies it. When within (the rids the caller
+// will keep) holds a small share of the table, only its rows are evaluated,
+// found through the table's rid index; otherwise the whole table is. It
+// returns ok=false when the predicate is opaque or the CVD's physical model
+// has no shared data table to scan (the caller then falls back to
+// row-at-a-time evaluation). Callers hold c.mu.
+func (c *CVD) pushdownSetLocked(pred Predicate, within *recset.Set) (*recset.Set, bool) {
 	var cps []*columnPredicate
 	switch p := pred.(type) {
 	case *columnPredicate:
@@ -156,7 +158,14 @@ func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
 		}
 		preds = append(preds, relstore.ColPred{Col: data.Schema.Columns[di].Name, Op: cp.op, Value: cp.value})
 	}
-	sel, err := data.FilterVecAll(preds)
+	var sel relstore.Selection
+	var err error
+	if data.ProbesRIDIndex(ridColumn, within.Len()) {
+		sel, err = data.ProbeRIDSet(ridColumn, within)
+	}
+	if err == nil {
+		sel, err = data.FilterVecAllIn(sel, preds)
+	}
 	if err != nil {
 		return nil, false
 	}
@@ -165,6 +174,16 @@ func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
 		return nil, false
 	}
 	return recset.FromSlice(rids), true
+}
+
+// unionLocked returns the rids of the listed versions: the version's own set
+// (not to be mutated) for one version, a fresh union otherwise. Callers hold
+// c.mu.
+func (c *CVD) unionLocked(versions []vgraph.VersionID) *recset.Set {
+	if len(versions) == 1 {
+		return c.bip.RecordSet(versions[0])
+	}
+	return c.bip.UnionSet(versions)
 }
 
 // VersionedRow pairs a record with the version it was selected from.
@@ -185,7 +204,7 @@ func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit in
 	// a compressed-set intersection — rows are materialized only for the
 	// records that both belong to the version and match.
 	var match *recset.Set
-	if set, ok := c.pushdownSetLocked(pred); ok {
+	if set, ok := c.pushdownSetLocked(pred, c.unionLocked(versions)); ok {
 		match = set
 		pred = nil
 	}
@@ -296,7 +315,7 @@ func (c *CVD) AggregateByVersion(versions []vgraph.VersionID, pred Predicate, ag
 	// Same pushdown as ScanVersions: evaluate a column predicate once over
 	// the data table's column vectors, then intersect per version.
 	var match *recset.Set
-	if set, ok := c.pushdownSetLocked(pred); ok {
+	if set, ok := c.pushdownSetLocked(pred, c.unionLocked(versions)); ok {
 		match = set
 		pred = nil
 	}

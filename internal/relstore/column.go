@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -238,6 +240,28 @@ func (c *column) value(i int) Value {
 		return Value{Type: TypeIntArray, A: c.arrs[i]}
 	default:
 		return Value{}
+	}
+}
+
+// identical is Value.Identical of cell i and v without materializing the
+// cell.
+func (c *column) identical(i int, v Value) bool {
+	if ValueType(c.tags[i]) != v.Type {
+		return false
+	}
+	switch v.Type {
+	case TypeInt:
+		return c.ints[i] == v.I
+	case TypeBool:
+		return (c.ints[i] != 0) == v.B
+	case TypeFloat:
+		return math.Float64bits(c.floats[i]) == math.Float64bits(v.F)
+	case TypeString:
+		return c.strs[i] == v.S
+	case TypeIntArray:
+		return slices.Equal(c.arrs[i], v.A)
+	default:
+		return true
 	}
 }
 

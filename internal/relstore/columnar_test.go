@@ -220,6 +220,68 @@ func TestSelectRIDSetMatchesProbe(t *testing.T) {
 	}
 }
 
+// TestProbeRIDSetMatchesScan: on a table whose rows are not in rid order,
+// the rid-index probe selects exactly the scan's positions (ascending), for
+// sets small and large relative to the table; SelectRIDSet takes the probe
+// only below the share cut-off, and FilterVecAllIn over the probed rows
+// equals the whole-table filter restricted to the set.
+func TestProbeRIDSetMatchesScan(t *testing.T) {
+	tbl := NewTable("rids", MustSchema([]Column{
+		{Name: "rid", Type: TypeInt},
+		{Name: "v", Type: TypeInt},
+	}, "rid"))
+	rng := rand.New(rand.NewSource(5))
+	for _, rid := range rng.Perm(800) {
+		tbl.MustInsert(Row{Int(int64(rid)), Int(int64(rng.Intn(100)))})
+	}
+	preds := []ColPred{{Col: "v", Op: CmpLT, Value: Int(30)}}
+	whole, err := tbl.FilterVecAll(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 20, 99, 100, 400, 900} {
+		set := recset.New()
+		for i := 0; i < n; i++ {
+			set.Add(int64(rng.Intn(1000))) // some rids are absent from the table
+		}
+		scan, err := tbl.ScanRIDSet("rid", set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := tbl.ProbeRIDSet("rid", set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(probe) != fmt.Sprint(scan) {
+			t.Fatalf("n=%d: probe %v, scan %v", n, probe, scan)
+		}
+		if got, want := tbl.ProbesRIDIndex("rid", set.Len()), set.Len()*8 < int64(tbl.Len()); got != want {
+			t.Errorf("n=%d (|set| %d): ProbesRIDIndex = %v, want %v", n, set.Len(), got, want)
+		}
+		filtered, err := tbl.FilterVecAllIn(probe, preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Selection
+		for _, p := range whole {
+			if set.Contains(tbl.IntAt(int(p), 0)) {
+				want = append(want, p)
+			}
+		}
+		if fmt.Sprint(filtered) != fmt.Sprint(want) {
+			t.Fatalf("n=%d: filter over probe %v, whole-table filter %v", n, filtered, want)
+		}
+	}
+	noIndex := NewTable("plain", MustSchema([]Column{{Name: "rid", Type: TypeInt}}))
+	noIndex.AppendRow(Row{Int(1)})
+	if noIndex.ProbesRIDIndex("rid", 0) {
+		t.Error("a table without a rid index must scan")
+	}
+	if _, err := noIndex.ProbeRIDSet("rid", recset.New()); err == nil {
+		t.Error("ProbeRIDSet without a rid index should fail")
+	}
+}
+
 // TestColumnCOWConcurrentSharers: many tables share one source's column
 // backing; each sharer mutates its own copy concurrently while readers scan
 // the source. Copy-on-write must keep the source bit-identical and the run

@@ -145,6 +145,10 @@ func (t *Table) Rows() []Row {
 // At returns the value of one cell without materializing its row.
 func (t *Table) At(row, col int) Value { return t.cols[col].value(row) }
 
+// Identical reports whether one cell is Identical to v, without
+// materializing the cell — the unchanged-row check of the commit diff.
+func (t *Table) Identical(row, col int, v Value) bool { return t.cols[col].identical(row, v) }
+
 // IntAt returns one cell as an int64 (Value.AsInt semantics) without
 // materializing the Value — the rid-probe hot path.
 func (t *Table) IntAt(row, col int) int64 { return t.cols[col].asInt(row) }
@@ -458,27 +462,33 @@ func (t *Table) FilterVec(col string, op CmpOp, value Value) (Selection, error) 
 // scans its whole column, and each subsequent comparison refines the
 // surviving selection, touching only the rows still alive.
 func (t *Table) FilterVecAll(preds []ColPred) (Selection, error) {
-	if len(preds) == 0 {
-		sel := make(Selection, t.nrows)
+	return t.FilterVecAllIn(nil, preds)
+}
+
+// FilterVecAllIn is FilterVecAll over the rows of sel only (nil: every
+// row), so a caller that already narrowed the table — e.g. to a version's
+// rows through SelectRIDSet — pays for those rows, not the table. sel is
+// refined in place.
+func (t *Table) FilterVecAllIn(sel Selection, preds []ColPred) (Selection, error) {
+	if sel == nil && len(preds) == 0 {
+		sel = make(Selection, t.nrows)
 		for i := range sel {
 			sel[i] = int32(i)
 		}
 		t.stats.AddSeqReads(int64(t.nrows))
 		return sel, nil
 	}
-	var sel Selection
-	for k, p := range preds {
+	for _, p := range preds {
 		ci := t.Schema.ColumnIndex(p.Col)
 		if ci < 0 {
 			return nil, fmt.Errorf("relstore: table %s has no column %q", t.Name, p.Col)
 		}
-		if k == 0 {
-			sel = t.cols[ci].filter(p.Op, p.Value, nil)
+		if sel == nil {
 			t.stats.AddSeqReads(int64(t.nrows))
 		} else {
 			t.stats.AddSeqReads(int64(len(sel)))
-			sel = t.cols[ci].filter(p.Op, p.Value, sel)
 		}
+		sel = t.cols[ci].filter(p.Op, p.Value, sel)
 		if len(sel) == 0 {
 			break
 		}
@@ -633,7 +643,7 @@ func (t *Table) UpdateWhere(pred func(Row) bool, fn func(Row) Row) (int, error) 
 			indexDirty = true
 		}
 		for j := range t.cols {
-			if !sameValue(r[j], nr[j]) {
+			if !r[j].Identical(nr[j]) {
 				t.Set(i, j, nr[j])
 			}
 		}

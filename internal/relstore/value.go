@@ -18,6 +18,7 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -174,6 +175,32 @@ func (v Value) AsString() string {
 	}
 }
 
+// AppendString appends AsString's rendering of the value to dst without
+// allocating a string — the content-key path of the commit diff.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.Type {
+	case TypeInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case TypeFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case TypeString:
+		return append(dst, v.S...)
+	case TypeBool:
+		return strconv.AppendBool(dst, v.B)
+	case TypeIntArray:
+		dst = append(dst, '{')
+		for i, x := range v.A {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, x, 10)
+		}
+		return append(dst, '}')
+	default:
+		return dst
+	}
+}
+
 // AsBool returns the value as a boolean.
 func (v Value) AsBool() bool {
 	switch v.Type {
@@ -245,24 +272,24 @@ func (v Value) Compare(o Value) int {
 // Equal reports whether two values compare equal.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
-// sameValue reports exact equality — same type tag and same payload —
-// unlike Equal, which compares by ordering semantics (Int(1) equals
-// Float(1)). Used to detect cells an update did not actually change.
-func sameValue(a, b Value) bool {
-	if a.Type != b.Type {
+// Identical reports exact equality — same type tag and same payload, floats
+// bit for bit — unlike Equal, which compares by ordering semantics (Int(1)
+// equals Float(1)). Identical values have identical AsString renderings.
+func (v Value) Identical(o Value) bool {
+	if v.Type != o.Type {
 		return false
 	}
-	switch a.Type {
+	switch v.Type {
 	case TypeInt:
-		return a.I == b.I
+		return v.I == o.I
 	case TypeFloat:
-		return a.F == b.F
+		return math.Float64bits(v.F) == math.Float64bits(o.F)
 	case TypeString:
-		return a.S == b.S
+		return v.S == o.S
 	case TypeBool:
-		return a.B == b.B
+		return v.B == o.B
 	case TypeIntArray:
-		return compareIntSlices(a.A, b.A) == 0
+		return compareIntSlices(v.A, o.A) == 0
 	default:
 		return true
 	}

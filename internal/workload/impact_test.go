@@ -50,9 +50,8 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 // a run whose checkpoint count stays inside the window restores epoch 1, and
 // every version it holds checks out bit-identically to the final state.
 func TestRunRestoreSpecificEpoch(t *testing.T) {
-	// About 50 commits at checkpoint_every 5 nudge 10 checkpoints (a nudge
-	// that arrives while one is already pending coalesces into it; 9–10
-	// ran in every measured run), so epoch 1 has been collected.
+	// About 50 commits at checkpoint_every 5 queue 10 checkpoints (the
+	// runner runs every queued one), so epoch 1 has been collected.
 	spec := smallSpec(t, ModeInProcess)
 	spec.Name = "t_ckpt_epoch1_gc"
 	spec.Ops = 60

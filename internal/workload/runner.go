@@ -102,10 +102,13 @@ func Run(spec *Spec) (*Report, error) {
 		go func() {
 			defer ckptWG.Done()
 			for range ckpt.trigger {
-				if err := engine.Checkpoint(); err != nil {
-					ckpt.errs.Add(1)
-				} else {
-					ckpt.done.Add(1)
+				for ckpt.pending.Load() > 0 {
+					ckpt.pending.Add(-1)
+					if err := engine.Checkpoint(); err != nil {
+						ckpt.errs.Add(1)
+					} else {
+						ckpt.done.Add(1)
+					}
 				}
 			}
 		}()
@@ -156,14 +159,17 @@ func Run(spec *Spec) (*Report, error) {
 	return report, nil
 }
 
-// ckptDriver decorates a driver to count successful commits and nudge the
-// checkpointer goroutine every `every` of them. The trigger channel has
-// capacity 1 and sends never block: if a checkpoint is already pending the
-// nudge coalesces into it.
+// ckptDriver decorates a driver to count successful commits and queue one
+// checkpoint every `every` of them, so a run checkpoints exactly
+// commits/every times however long each checkpoint takes. Clients never
+// block on it: a checkpoint is queued by bumping pending, and the trigger
+// channel (capacity 1, non-blocking sends) only wakes the checkpointer
+// goroutine, which runs checkpoints until pending drains.
 type ckptDriver struct {
 	driver
 	every   int64
 	commits atomic.Int64
+	pending atomic.Int64
 	done    atomic.Int64
 	errs    atomic.Int64
 	trigger chan struct{}
@@ -173,6 +179,7 @@ func (c *ckptDriver) do(client int, rng *rand.Rand, op opKind) error {
 	err := c.driver.do(client, rng, op)
 	if err == nil && op == opCommit {
 		if n := c.commits.Add(1); n%c.every == 0 {
+			c.pending.Add(1)
 			select {
 			case c.trigger <- struct{}{}:
 			default:
